@@ -2,9 +2,10 @@
 
 Every benchmark regenerates one 'artifact' of the paper (a claim, the
 figure, or the prose comparison table) and emits an ASCII table.  Tables
-are printed (visible with ``pytest -s``) and always written to
-``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can reference
-stable outputs.
+are printed (visible with ``pytest -s``); only a run with
+``--record-tables`` (see the root ``conftest.py``) writes them to
+``benchmarks/results/<experiment>.txt``, so a plain test run leaves the
+committed tables untouched.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture
-def record_table():
-    """Fixture: ``record_table(experiment_id, text)`` persists + prints."""
+def record_table(request):
+    """Fixture: ``record_table(experiment_id, text)`` prints, and persists
+    under ``--record-tables``."""
+    persist = request.config.getoption("--record-tables")
 
     def _record(experiment_id: str, text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        path = RESULTS_DIR / f"{experiment_id}.txt"
-        path.write_text(text + "\n", encoding="utf-8")
+        if persist:
+            RESULTS_DIR.mkdir(exist_ok=True)
+            path = RESULTS_DIR / f"{experiment_id}.txt"
+            path.write_text(text + "\n", encoding="utf-8")
         print(f"\n{text}", file=sys.stderr)
 
     return _record

@@ -36,7 +36,7 @@ from ..errors import AlgorithmError
 from ..congest.metrics import RunMetrics
 from ..congest.network import CongestNetwork
 from ..congest.node import Inbox, NodeContext, NodeProgram
-from ..graphs.graph import Node, WeightedGraph
+from ..graphs.graph import WeightedGraph, node_order
 from ..graphs.trees import RootedTree
 
 DEFAULT_RATE_STEPS = 6
@@ -110,7 +110,7 @@ class SkeletonBFSBuild(NodeProgram):
         offers = [src for src, msg in inbox if msg.kind == "sbfs"]
         if not offers:
             return
-        parent = min(offers, key=_order)
+        parent = min(offers, key=node_order)
         self._decided = True
         ctx.memory["suT:parent"] = parent
         ctx.memory["suT:reached"] = True
@@ -151,7 +151,7 @@ def su_minimum_cut_congest(
     if graph.number_of_nodes < 2:
         raise AlgorithmError("minimum cut requires at least two nodes")
     net = network if network is not None else CongestNetwork(graph)
-    root = min(graph.nodes, key=_order)
+    root = min(graph.nodes, key=node_order)
 
     best_value = float("inf")
     best_side: frozenset = frozenset()
@@ -208,8 +208,4 @@ def _take_metrics(net: CongestNetwork) -> RunMetrics:
 
 
 def _owns_edge(u, v) -> bool:
-    return _order(u) < _order(v)
-
-
-def _order(node: Node):
-    return node if isinstance(node, int) else repr(node)
+    return node_order(u) < node_order(v)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from ...errors import ProtocolError
 from ...congest.node import Inbox, NodeContext, NodeProgram
+from ...graphs.graph import node_order
 
 TYPE_GLOBAL = 1
 """ρ-message type (i): endpoints lie outside the LCA's fragment."""
@@ -184,7 +185,7 @@ class LCAExchange(NodeProgram):
         if hops_mine != hops_theirs:
             i_hold = hops_mine > hops_theirs
         else:
-            i_hold = _node_order(ctx.node) < _node_order(v)
+            i_hold = node_order(ctx.node) < node_order(v)
         self._commit(ctx, v, lca, self._my_frag, TYPE_FRAGMENT, i_hold, state)
 
     def _resolve_cross_fragment(
@@ -220,7 +221,7 @@ class LCAExchange(NodeProgram):
             raise ProtocolError(
                 f"no common skeleton ancestor on edge ({ctx.node!r}, {v!r})"
             )
-        i_create = _node_order(ctx.node) < _node_order(v)
+        i_create = node_order(ctx.node) < node_order(v)
         lca_frag = ctx.memory["or:skeleton_frag"][lca]
         self._commit(ctx, v, lca, lca_frag, TYPE_GLOBAL, i_create, state)
 
@@ -235,10 +236,6 @@ class LCAExchange(NodeProgram):
             i_am_holder=i_hold,
             weight=ctx.edge_weight(v),
         )
-
-
-def _node_order(node):
-    return node if isinstance(node, int) else repr(node)
 
 
 def rho_contributions(ctx: NodeContext, message_type: int):

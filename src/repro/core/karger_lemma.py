@@ -38,13 +38,35 @@ def lca_weights(graph: WeightedGraph, tree: RootedTree) -> dict[Node, float]:
     """``ρ(v)``: total weight of edges whose endpoint LCA is ``v``.
 
     Every graph edge contributes to exactly one node's ``ρ``; tree edges
-    contribute to the parent endpoint (their LCA).
+    contribute to the parent endpoint (their LCA).  One offline (Tarjan)
+    LCA pass over the postorder: a finished node links to its parent, so
+    the union–find root of a finished node is its lowest ancestor still
+    on the walk.  Sums run in :meth:`WeightedGraph.edges` order.
     """
     _require_spanning(graph, tree)
-    rho = {u: 0.0 for u in graph.nodes}
-    for u, v, w in graph.edges():
-        rho[tree.lca(u, v)] += w
-    return rho
+    index = graph.index()
+    node_id, start, target = index.node_id, index.adj_start, index.adj_target
+    reverse = index.reverse_edge
+    link, up = list(range(len(index.nodes))), list(range(len(index.nodes)))
+    for child, parent in tree.edges():
+        up[node_id[child]] = node_id[parent]
+    done = [False] * len(link)
+    lca = [0] * len(target)
+    for i in map(node_id.__getitem__, tree.postorder()):
+        done[i] = True
+        for e in range(start[i], start[i + 1]):
+            r = target[e]
+            if done[r]:
+                while link[r] != r:
+                    link[r] = link[link[r]]
+                    r = link[r]
+                lca[min(e, reverse[e])] = r
+        link[i] = up[i]
+    rho = [0.0] * len(link)
+    for e, w in enumerate(index.adj_weight):
+        if e < reverse[e]:
+            rho[lca[e]] += w
+    return dict(zip(index.nodes, rho))
 
 
 def subtree_sums(tree: RootedTree, values: dict[Node, float]) -> dict[Node, float]:
@@ -75,9 +97,8 @@ def compute_karger_quantities(graph: WeightedGraph, tree: RootedTree) -> KargerQ
     vertex set); callers minimising over 1-respecting cuts must exclude
     the root, as :func:`repro.core.one_respect_reference` does.
     """
-    _require_spanning(graph, tree)
+    rho = lca_weights(graph, tree)  # checks that the tree spans the graph
     delta = weighted_degrees(graph)
-    rho = lca_weights(graph, tree)
     delta_down = subtree_sums(tree, delta)
     rho_down = subtree_sums(tree, rho)
     cut_below = {

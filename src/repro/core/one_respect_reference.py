@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import AlgorithmError
-from ..graphs.graph import Node, WeightedGraph
+from ..graphs.graph import Node, WeightedGraph, node_order
 from ..graphs.trees import RootedTree
 from .karger_lemma import compute_karger_quantities
 
@@ -56,13 +56,9 @@ def one_respecting_min_cut_reference(
     cut_values = {
         v: c for v, c in quantities.cut_below.items() if v != tree.root
     }
-    best_node = min(cut_values, key=lambda v: (cut_values[v], _order(v)))
+    best_node = min(cut_values, key=lambda v: (cut_values[v], node_order(v)))
     return OneRespectResult(
         best_value=cut_values[best_node],
         best_node=best_node,
         cut_values=cut_values,
     )
-
-
-def _order(node: Node):
-    return node if isinstance(node, int) else repr(node)

@@ -42,6 +42,11 @@ def edge_key(u: Node, v: Node) -> Edge:
         return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
+def node_order(node: Node):
+    """The library-wide node tie order: ints by value, others by ``repr``."""
+    return node if isinstance(node, int) else repr(node)
+
+
 class WeightedGraph:
     """An undirected graph with strictly positive edge weights.
 

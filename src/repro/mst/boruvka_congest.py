@@ -35,6 +35,7 @@ from typing import Optional
 from ..errors import AlgorithmError
 from ..congest.network import CongestNetwork
 from ..congest.node import Inbox, NodeContext, NodeProgram
+from ..graphs.graph import node_order
 from ..graphs.trees import RootedTree
 from ..primitives.treespec import TreeSpec
 
@@ -49,12 +50,8 @@ def _default_key(ctx: NodeContext, v) -> float:
 
 
 def _rank(ctx: NodeContext, v, key: EdgeKey):
-    lo, hi = (ctx.node, v) if _ord(ctx.node) <= _ord(v) else (v, ctx.node)
-    return (key(ctx, v), _ord(lo), _ord(hi))
-
-
-def _ord(node):
-    return node if isinstance(node, int) else repr(node)
+    lo, hi = (ctx.node, v) if node_order(ctx.node) <= node_order(v) else (v, ctx.node)
+    return (key(ctx, v), node_order(lo), node_order(hi))
 
 
 class _CompExchange(NodeProgram):
@@ -171,7 +168,7 @@ class _MinLabelFlood(NodeProgram):
         best = ctx.memory["mst:comp"]
         improved = False
         for _src, msg in inbox:
-            if msg.kind == "label" and _ord(msg.payload[0]) < _ord(best):
+            if msg.kind == "label" and node_order(msg.payload[0]) < node_order(best):
                 best = msg.payload[0]
                 improved = True
         if improved:
@@ -211,6 +208,6 @@ def boruvka_mst(
     edges = set()
     for u in network.nodes:
         for v in network.memory[u]["mst:marked"]:
-            edges.add((u, v) if _ord(u) <= _ord(v) else (v, u))
-    chosen_root = root if root is not None else min(network.nodes, key=_ord)
+            edges.add((u, v) if node_order(u) <= node_order(v) else (v, u))
+    chosen_root = root if root is not None else min(network.nodes, key=node_order)
     return RootedTree.from_edges(chosen_root, sorted(edges))

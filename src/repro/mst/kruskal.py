@@ -4,55 +4,69 @@ Thorup's greedy tree packing repeatedly computes MSTs with respect to
 evolving load metrics, so the MST routine must be *deterministic* under
 ties — we order edges lexicographically by ``(key, min endpoint, max
 endpoint)``.  The same total order is used by the distributed Borůvka
-implementation, which keeps the two in exact agreement (tested).
+implementation, which keeps the two in exact agreement (tested).  Trees
+are built in int space on the graph's cached index (:class:`SortedEdges`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import Optional
 
-from ..errors import AlgorithmError
-from ..graphs.graph import Node, WeightedGraph
+from ..graphs.graph import Node, WeightedGraph, node_order
 from ..graphs.trees import RootedTree
 
 EdgeKeyFn = Callable[[Node, Node, float], float]
 
 
-class DisjointSets:
-    """Union–find with path halving and union by size."""
-
-    def __init__(self, items) -> None:
-        self._parent = {x: x for x in items}
-        self._size = {x: 1 for x in items}
-
-    def find(self, x):
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        """Merge the sets of ``a`` and ``b``; False when already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True
-
-
 def edge_total_order(u: Node, v: Node, key: float):
     """The library-wide deterministic edge order (ties by endpoints)."""
-    lo, hi = (u, v) if _ord(u) <= _ord(v) else (v, u)
-    return (key, _ord(lo), _ord(hi))
+    lo, hi = (u, v) if node_order(u) <= node_order(v) else (v, u)
+    return (key, node_order(lo), node_order(hi))
 
 
-def _ord(node: Node):
-    return node if isinstance(node, int) else repr(node)
+class SortedEdges:
+    """A graph's undirected edges as flat int arrays, numbered once.
+
+    The edges are its cached index's directed ids ``e < reverse_edge[e]``
+    (:meth:`WeightedGraph.edges` order and orientation), stably sorted by
+    the endpoint tie of :func:`edge_total_order`: edge ``k`` joins int
+    nodes ``tail[k]``–``head[k]`` with weight ``weight[k]``.
+    """
+
+    def __init__(self, graph: WeightedGraph) -> None:
+        index = graph.index()
+        nodes, source, target = index.nodes, index.edge_source, index.adj_target
+        ids = sorted(
+            (e for e in range(len(target)) if e < index.reverse_edge[e]),
+            key=lambda e: edge_total_order(nodes[source[e]], nodes[target[e]], 0),
+        )
+        self.nodes = nodes
+        self.tail = [source[e] for e in ids]
+        self.head = [target[e] for e in ids]
+        self.weight = [index.adj_weight[e] for e in ids]
+
+    def spanning_tree(self, keys: Sequence[float], root: Node) -> tuple[RootedTree, list[int]]:
+        """Kruskal under ``keys[k]`` (one stable sort, a list union–find):
+        the tree rooted at ``root`` and the chosen edge positions."""
+        n, tail, head = len(self.nodes), self.tail, self.head
+        link = list(range(n))
+        chosen: list[int] = []
+        for k in sorted(range(len(keys)), key=keys.__getitem__):
+            a, b = tail[k], head[k]
+            while link[a] != a:
+                link[a] = link[link[a]]
+                a = link[a]
+            while link[b] != b:
+                link[b] = link[link[b]]
+                b = link[b]
+            if a != b:
+                link[a] = b
+                chosen.append(k)
+                if len(chosen) == n - 1:
+                    break
+        tree_edges = [(self.nodes[tail[k]], self.nodes[head[k]]) for k in chosen]
+        return RootedTree.from_edges(root, tree_edges), chosen  # rejects a forest
 
 
 def minimum_spanning_tree(
@@ -67,24 +81,13 @@ def minimum_spanning_tree(
     ``root`` (default: minimum node id).
     """
     graph.require_connected()
-    if graph.number_of_nodes == 1:
-        only = graph.nodes[0]
-        return RootedTree(only, {})
-    key_fn = key if key is not None else (lambda u, v, w: w)
-    ranked = sorted(
-        ((edge_total_order(u, v, key_fn(u, v, w)), u, v) for u, v, w in graph.edges()),
-    )
-    ds = DisjointSets(graph.nodes)
-    chosen: list[tuple[Node, Node]] = []
-    for _rank, u, v in ranked:
-        if ds.union(u, v):
-            chosen.append((u, v))
-            if len(chosen) == graph.number_of_nodes - 1:
-                break
-    if len(chosen) != graph.number_of_nodes - 1:
-        raise AlgorithmError("graph is not connected; MST does not exist")
-    chosen_root = root if root is not None else min(graph.nodes, key=_ord)
-    return RootedTree.from_edges(chosen_root, chosen)
+    edges = SortedEdges(graph)
+    keys = edges.weight if key is None else [
+        key(edges.nodes[a], edges.nodes[b], w)
+        for a, b, w in zip(edges.tail, edges.head, edges.weight)
+    ]
+    chosen_root = root if root is not None else min(graph.nodes, key=node_order)
+    return edges.spanning_tree(keys, chosen_root)[0]
 
 
 def tree_weight(graph: WeightedGraph, tree: RootedTree) -> float:

@@ -16,12 +16,13 @@ edge order, making packings reproducible.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
+from types import MappingProxyType
 
 from ..errors import AlgorithmError
-from ..graphs.graph import WeightedGraph, edge_key
+from ..graphs.graph import Edge, WeightedGraph, edge_key, node_order
 from ..graphs.trees import RootedTree
-from ..mst.kruskal import minimum_spanning_tree
+from ..mst.kruskal import SortedEdges
 
 
 class GreedyTreePacking:
@@ -30,6 +31,10 @@ class GreedyTreePacking:
     Use :meth:`next_tree` (or iterate) to extend the packing lazily —
     the exact-min-cut driver consumes trees one at a time and usually
     stops long before any theoretical bound.
+
+    Edges are numbered once (:class:`~repro.mst.kruskal.SortedEdges`)
+    and a per-edge ``use`` list lives as long as the packing.  The graph
+    must not change meanwhile: :meth:`next_tree` then raises.
     """
 
     def __init__(self, graph: WeightedGraph) -> None:
@@ -37,22 +42,40 @@ class GreedyTreePacking:
         if graph.number_of_nodes < 2:
             raise AlgorithmError("tree packing needs at least two nodes")
         self.graph = graph
-        self.usage: dict = {edge_key(u, v): 0 for u, v, _w in graph.edges()}
         self.trees: list[RootedTree] = []
+        self._version = graph._version
+        self._root = min(graph.nodes, key=node_order)
+        self._edges = SortedEdges(graph)
+        self._use = [0] * len(self._edges.weight)
+
+    @property
+    def usage(self) -> Mapping[Edge, int]:
+        """Read-only ``{edge_key(u, v): number of trees containing it}``."""
+        nodes = self._edges.nodes
+        return MappingProxyType({
+            edge_key(nodes[a], nodes[b]): count
+            for a, b, count in zip(self._edges.tail, self._edges.head, self._use)
+        })
 
     def relative_load(self, u, v) -> float:
         """``use(e) / w(e)`` — the greedy packing's edge metric."""
+        self._require_unchanged()
         return self.usage[edge_key(u, v)] / self.graph.weight(u, v)
 
     def next_tree(self) -> RootedTree:
         """Compute the next greedy tree and update loads."""
-        tree = minimum_spanning_tree(
-            self.graph, key=lambda u, v, w: self.relative_load(u, v)
-        )
-        for child, parent in tree.edges():
-            self.usage[edge_key(child, parent)] += 1
+        self._require_unchanged()
+        edges, use = self._edges, self._use
+        loads = [count / w for count, w in zip(use, edges.weight)]
+        tree, chosen = edges.spanning_tree(loads, self._root)
+        for k in chosen:
+            use[k] += 1
         self.trees.append(tree)
         return tree
+
+    def _require_unchanged(self) -> None:
+        if self.graph._version != self._version:
+            raise AlgorithmError("graph changed while packing trees; start a new packing")
 
     def grow_to(self, count: int) -> list[RootedTree]:
         """Extend the packing to ``count`` trees; returns all trees."""
